@@ -121,15 +121,28 @@ func (e *Engine) RunContext(ctx context.Context, q *query.Query, stats *Stats) (
 	return e.exec(ctx, pl, nil, stats)
 }
 
-// exec runs a compiled plan with fresh per-run state over the given root
-// segment views (the views of the execution's snapshot — which may be newer
-// than the state the plan was compiled against, for segmented roots).
+// exec runs a compiled plan over the given root segment views (the views
+// of the execution's snapshot — which may be newer than the state the plan
+// was compiled against, for segmented roots; nil means the plan's own) and
+// finalizes the collected state into rows.
 func (e *Engine) exec(ctx context.Context, pl *plan, segs []storage.SegView, stats *Stats) (*query.Result, error) {
-	rs := &runState{stats: pl.stats}
-	rs.stats.LeafNS = pl.leafNS
 	if segs == nil {
 		segs = pl.planSegs
 	}
+	var res *query.Result
+	err := pl.run(ctx, segs, stats, func(total *partial, rs *runState) (err error) {
+		res, err = pl.extract(total, rs)
+		return err
+	})
+	return res, err
+}
+
+// run is the execution frame shared by exec and ExecPartial: fresh
+// per-run state, the execute span, collect, then finish (extract or
+// capture) under the same span, and the per-stage trace and stats.
+func (pl *plan) run(ctx context.Context, segs []storage.SegView, stats *Stats, finish func(*partial, *runState) error) error {
+	rs := &runState{stats: pl.stats}
+	rs.stats.LeafNS = pl.leafNS
 
 	tr := obs.TraceFrom(ctx)
 	var execSpan obs.SpanID
@@ -138,16 +151,12 @@ func (e *Engine) exec(ctx context.Context, pl *plan, segs []storage.SegView, sta
 		execT0 = time.Now()
 		execSpan = tr.Start(tr.Root(), obs.StageExecute)
 	}
-
-	var res *query.Result
-	var err error
-	if pl.variant.rowWise() {
-		res, err = pl.runRowWise(ctx, segs, rs)
-	} else {
-		res, err = pl.runColumnar(ctx, segs, rs)
-	}
+	total, err := pl.collect(ctx, segs, rs)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if err := finish(total, rs); err != nil {
+		return err
 	}
 	if tr != nil {
 		recordExecSpans(tr, execSpan, execT0, &rs.stats)
@@ -156,7 +165,7 @@ func (e *Engine) exec(ctx context.Context, pl *plan, segs []storage.SegView, sta
 	if stats != nil {
 		*stats = rs.stats
 	}
-	return res, nil
+	return nil
 }
 
 // recordExecSpans attaches the execution stages to the trace from the

@@ -322,28 +322,33 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
-func TestMakeSpans(t *testing.T) {
-	spans := makeSpans(10, 3)
-	if len(spans) == 0 || spans[0].lo != 0 {
-		t.Fatalf("spans = %v", spans)
+// TestMakeMorsels: the morsel split covers every admitted segment's rows
+// exactly once, in order, never straddles a segment, and never exceeds the
+// batch-row bound (the granularity of cancellation checks).
+func TestMakeMorsels(t *testing.T) {
+	pl := &plan{opt: Options{Workers: 2, PartitionsPerWorker: 2, BatchRows: 4}}
+	sizes := []int{10, 0, 3, 17}
+	kept := make([]execSeg, len(sizes))
+	for i, n := range sizes {
+		kept[i] = execSeg{sv: &storage.SegView{N: n}}
 	}
-	covered := 0
-	last := 0
-	for _, sp := range spans {
-		if sp.lo != last {
-			t.Fatalf("gap in spans: %v", spans)
+	covered := make([]int, len(sizes))
+	for _, m := range pl.makeMorsels(kept) {
+		if m.lo != covered[m.si] || m.hi <= m.lo || m.hi > sizes[m.si] {
+			t.Fatalf("morsel %+v does not continue segment %d at row %d", m, m.si, covered[m.si])
 		}
-		covered += sp.hi - sp.lo
-		last = sp.hi
+		if m.hi-m.lo > pl.opt.BatchRows {
+			t.Fatalf("morsel %+v exceeds %d batch rows", m, pl.opt.BatchRows)
+		}
+		covered[m.si] = m.hi
 	}
-	if covered != 10 || last != 10 {
-		t.Fatalf("spans don't cover: %v", spans)
+	for i, n := range sizes {
+		if covered[i] != n {
+			t.Errorf("segment %d: covered %d of %d rows", i, covered[i], n)
+		}
 	}
-	if got := makeSpans(0, 4); got != nil {
-		t.Errorf("spans over empty table = %v", got)
-	}
-	if got := makeSpans(3, 100); len(got) > 3 {
-		t.Errorf("more spans than rows: %v", got)
+	if got := pl.makeMorsels(kept[1:2]); got != nil {
+		t.Errorf("morsels over an empty segment = %v", got)
 	}
 }
 

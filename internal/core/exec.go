@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"sync"
@@ -44,32 +45,6 @@ type execSeg struct {
 	key     aggKey
 }
 
-// makeSpans splits [0, n) into at most count near-equal spans; it remains
-// the building block for morsel generation within one segment.
-type span struct{ lo, hi int }
-
-func makeSpans(n, count int) []span {
-	if count < 1 {
-		count = 1
-	}
-	if count > n {
-		count = n
-	}
-	if n == 0 {
-		return nil
-	}
-	spans := make([]span, 0, count)
-	chunk := (n + count - 1) / count
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		spans = append(spans, span{lo, hi})
-	}
-	return spans
-}
-
 // partial is one worker's private aggregation state: either an aggregation
 // array or a hash table, never both. Workers also accumulate their own
 // timing, merged by the driver (§5: intermediate results are used
@@ -101,6 +76,31 @@ func (pl *plan) newPartial() (*partial, error) {
 		p.h = agg.NewHashAgg(pl.aggKinds)
 	}
 	return p, nil
+}
+
+// capture snapshots the partial's aggregation state as an immutable
+// agg.Partial.
+func (p *partial) capture() *agg.Partial {
+	if p.arr != nil {
+		return p.arr.Capture()
+	}
+	return p.h.Capture()
+}
+
+// absorb folds q's aggregation state, counters and first merge failure
+// into p. q's array stays q's; the caller recycles it.
+func (p *partial) absorb(q *partial) {
+	var err error
+	if p.arr != nil {
+		err = p.arr.Merge(q.arr)
+	} else {
+		p.h.Merge(q.h)
+	}
+	p.mergeErr = cmp.Or(p.mergeErr, q.mergeErr, err)
+	p.scanNS += q.scanNS
+	p.aggNS += q.aggNS
+	p.scanned += q.scanned
+	p.selected += q.selected
 }
 
 // aggCacheable reports whether this plan's executions go through the
@@ -227,48 +227,71 @@ func (pl *plan) makeMorsels(kept []execSeg) []morsel {
 	return ms
 }
 
-// runColumnar executes the plan with the vector-based column-wise scan
-// (§4.1), in parallel when Workers > 1, over the given root segment views.
+// collect is the one execution pipeline every run shares — single-node,
+// cached, row-wise and shard-partial: admit the segments (zone-map pruning
+// and aggregate-cache lookup), schedule the surviving rows as scan units,
+// run them on the worker pool, and fold the cached partials of the admitted
+// segments into the live state. The caller finishes the returned state:
+// exec extracts rows, ExecPartial captures a snapshot.
 //
-// Segment admission splits the view into three classes: aggregate-cache
-// hits contribute their stored partials without any scan; sealed misses
-// are scanned as whole-segment units so their partials can be captured and
-// installed; tail and flat segments go through the regular morsel split.
-// All scan units share one worker pool, and the cached partials merge into
-// the total after the live scan.
-func (pl *plan) runColumnar(ctx context.Context, segs []storage.SegView, rs *runState) (*query.Result, error) {
+// Aggregate-cache hits contribute their stored partials without any scan;
+// sealed misses are scanned as whole-segment units so their partials can
+// be captured and installed; tail and flat segments go through the regular
+// morsel split. Row-wise variants are never cache-eligible, so they get
+// plain morsels and differ only in their per-morsel kernel.
+func (pl *plan) collect(ctx context.Context, segs []storage.SegView, rs *runState) (*partial, error) {
 	kept, hits, err := pl.admitSegments(segs, rs)
 	if err != nil {
 		return nil, err
 	}
-	morsels := pl.makeUnits(kept)
+	scan := pl.processMorselColumnar
+	if pl.variant.rowWise() {
+		scan = pl.processMorselRowWise
+	}
 	process := func(p *partial, m morsel) {
 		if m.whole {
 			pl.processSegmentCached(ctx, p, kept[m.si])
 			return
 		}
-		pl.processMorselColumnar(p, kept[m.si], m.lo, m.hi)
+		scan(p, kept[m.si], m.lo, m.hi)
 	}
-	total, err := pl.runParallel(ctx, morsels, process, rs)
+	total, err := pl.runParallel(ctx, pl.makeUnits(kept), process, rs)
 	if err != nil {
 		return nil, err
 	}
-	if len(hits) > 0 && total != nil {
-		t0 := time.Now()
-		for _, part := range hits {
-			if total.arr != nil {
-				err = part.MergeIntoArray(total.arr)
-			} else {
-				err = part.MergeIntoHash(total.h)
-			}
-			if err != nil {
-				pl.eng.putArray(total.arr)
-				return nil, err
-			}
-		}
-		rs.stats.AggNS += time.Since(t0).Nanoseconds()
+	if err := pl.mergeParts(total, hits, rs); err != nil {
+		return nil, err
 	}
-	return pl.extract(total, rs)
+	return total, nil
+}
+
+// mergeParts folds captured partials — aggregate-cache hits or shard
+// snapshots — into a live aggregation state. It is the only place an
+// agg.Partial is merged into live state; a shape or kind mismatch fails
+// the merge (and recycles the state's array) rather than producing wrong
+// rows.
+func (pl *plan) mergeParts(total *partial, parts []*agg.Partial, rs *runState) error {
+	if len(parts) == 0 {
+		return nil
+	}
+	t0 := time.Now()
+	for _, part := range parts {
+		if part == nil {
+			continue
+		}
+		var err error
+		if total.arr != nil {
+			err = part.MergeIntoArray(total.arr)
+		} else {
+			err = part.MergeIntoHash(total.h)
+		}
+		if err != nil {
+			pl.eng.putArray(total.arr)
+			return err
+		}
+	}
+	rs.stats.AggNS += time.Since(t0).Nanoseconds()
+	return nil
 }
 
 // makeUnits builds the scan work list: one whole-segment unit per
@@ -305,15 +328,12 @@ func (pl *plan) processSegmentCached(ctx context.Context, p *partial, es execSeg
 		pl.processMorselColumnar(p, es, 0, es.sv.N)
 		return
 	}
+	complete := true
 	done := ctx.Done()
 	for lo := 0; lo < es.sv.N; lo += pl.opt.BatchRows {
 		if done != nil && ctx.Err() != nil {
-			p.scanNS += scratch.scanNS
-			p.aggNS += scratch.aggNS
-			p.scanned += scratch.scanned
-			p.selected += scratch.selected
-			pl.eng.putArray(scratch.arr)
-			return
+			complete = false
+			break
 		}
 		hi := lo + pl.opt.BatchRows
 		if hi > es.sv.N {
@@ -322,69 +342,28 @@ func (pl *plan) processSegmentCached(ctx context.Context, p *partial, es execSeg
 		pl.processMorselColumnar(scratch, es, lo, hi)
 	}
 	t0 := time.Now()
-	var part *agg.Partial
-	if scratch.arr != nil {
-		part = scratch.arr.Capture()
-		if err := p.arr.Merge(scratch.arr); err != nil && p.mergeErr == nil {
-			p.mergeErr = err
-		}
-	} else {
-		part = scratch.h.Capture()
-		p.h.Merge(scratch.h)
+	if complete {
+		part := scratch.capture()
+		pl.eng.aggCache.put(es.key, part, part.Bytes())
 	}
-	pl.eng.aggCache.put(es.key, part, part.Bytes())
-	scratch.aggNS += time.Since(t0).Nanoseconds()
-	p.scanNS += scratch.scanNS
-	p.aggNS += scratch.aggNS
-	p.scanned += scratch.scanned
-	p.selected += scratch.selected
+	p.absorb(scratch)
+	p.aggNS += time.Since(t0).Nanoseconds()
 	pl.eng.putArray(scratch.arr)
 }
 
 // runParallel drives workers over the morsel queue and merges their
-// partials. Cancellation is checked between morsels: a cancelled context
-// makes every worker stop at its next morsel boundary and the run returns
-// ctx.Err() with all pooled aggregation arrays returned.
+// partials into one state, which it always returns on success (an empty
+// queue yields an empty state). A single worker runs inline. Cancellation
+// is checked between morsels: a cancelled context makes every worker stop
+// at its next morsel boundary and the run returns ctx.Err() with all
+// pooled aggregation arrays returned.
 func (pl *plan) runParallel(ctx context.Context, morsels []morsel, process func(*partial, morsel), rs *runState) (*partial, error) {
-	workers := pl.opt.Workers
-	if workers > len(morsels) {
-		workers = len(morsels)
+	workers := min(pl.opt.Workers, len(morsels))
+	if workers < 1 {
+		workers = 1
 	}
-	done := ctx.Done()
-	if workers <= 1 {
-		p, err := pl.newPartial()
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range morsels {
-			if done != nil {
-				if err := ctx.Err(); err != nil {
-					pl.eng.putArray(p.arr)
-					return nil, err
-				}
-			}
-			process(p, m)
-		}
-		if p.mergeErr != nil {
-			pl.eng.putArray(p.arr)
-			return nil, p.mergeErr
-		}
-		rs.stats.ScanNS += p.scanNS
-		rs.stats.AggNS += p.aggNS
-		rs.stats.RowsScanned += p.scanned
-		rs.stats.RowsSelected += p.selected
-		return p, nil
-	}
-
-	queue := make(chan morsel, len(morsels))
-	for _, m := range morsels {
-		queue <- m
-	}
-	close(queue)
-
 	partials := make([]*partial, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range partials {
 		p, err := pl.newPartial()
 		if err != nil {
 			for _, prev := range partials[:w] {
@@ -393,18 +372,35 @@ func (pl *plan) runParallel(ctx context.Context, morsels []morsel, process func(
 			return nil, err
 		}
 		partials[w] = p
-		wg.Add(1)
-		go func(p *partial) {
-			defer wg.Done()
-			for m := range queue {
-				if done != nil && ctx.Err() != nil {
-					return
-				}
-				process(p, m)
-			}
-		}(p)
 	}
-	wg.Wait()
+
+	queue := make(chan morsel, len(morsels))
+	for _, m := range morsels {
+		queue <- m
+	}
+	close(queue)
+	done := ctx.Done()
+	work := func(p *partial) {
+		for m := range queue {
+			if done != nil && ctx.Err() != nil {
+				return
+			}
+			process(p, m)
+		}
+	}
+	if workers == 1 {
+		work(partials[0])
+	} else {
+		var wg sync.WaitGroup
+		for _, p := range partials {
+			wg.Add(1)
+			go func(p *partial) {
+				defer wg.Done()
+				work(p)
+			}(p)
+		}
+		wg.Wait()
+	}
 
 	if done != nil {
 		if err := ctx.Err(); err != nil {
@@ -418,27 +414,13 @@ func (pl *plan) runParallel(ctx context.Context, morsels []morsel, process func(
 	// Merge worker partials into the first one; merged arrays go back to
 	// the engine's pool.
 	total := partials[0]
-	firstErr := total.mergeErr
 	for _, p := range partials[1:] {
-		if p.mergeErr != nil && firstErr == nil {
-			firstErr = p.mergeErr
-		}
-		if p.arr != nil {
-			if err := total.arr.Merge(p.arr); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			pl.eng.putArray(p.arr)
-		} else {
-			total.h.Merge(p.h)
-		}
-		total.scanNS += p.scanNS
-		total.aggNS += p.aggNS
-		total.scanned += p.scanned
-		total.selected += p.selected
+		total.absorb(p)
+		pl.eng.putArray(p.arr)
 	}
-	if firstErr != nil {
+	if total.mergeErr != nil {
 		pl.eng.putArray(total.arr)
-		return nil, firstErr
+		return nil, total.mergeErr
 	}
 	// Attribute per-phase time as wall-clock estimate: sum across workers
 	// divided by the worker count.
@@ -878,16 +860,6 @@ func (pl *plan) extract(total *partial, rs *runState) (*query.Result, error) {
 	}
 	for k, ap := range pl.aggs {
 		res.AggNames[k] = ap.agg.As
-	}
-
-	if total == nil {
-		// Every segment pruned: an empty, well-formed result.
-		rs.stats.Groups = 0
-		if err := res.Sort(pl.q.OrderBy); err != nil {
-			return nil, err
-		}
-		res.Truncate(pl.q.Limit)
-		return res, nil
 	}
 
 	if total.arr != nil {

@@ -197,9 +197,6 @@ type plan struct {
 // planSeq issues unique plan instance ids.
 var planSeq atomic.Uint64
 
-// resolveVariant maps Auto to its concrete executor.
-func resolveVariant(v Variant) Variant { return v }
-
 // plan compiles q against the engine's live schema. This is the "leaf
 // processing" phase of Fig. 10.
 func (e *Engine) plan(q *query.Query) (*plan, error) {

@@ -1,76 +1,59 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"time"
-
-	"astore/internal/query"
-	"astore/internal/storage"
 )
 
-// runRowWise executes the plan tuple-at-a-time (the AIRScan_R and
-// AIRScan_R_P variants of Table 6): each root tuple is fetched, evaluated
-// against every predicate — through AIR chains, or against predicate
-// vectors when the variant builds them — and fed to hash-based grouping and
-// aggregation. It exists to quantify what the column-wise optimizations
-// buy; it shares planning, segment admission (zone-map pruning), parallel
-// morsel scheduling, cancellation, and result extraction with the columnar
-// path. Row-wise variants always aggregate into a hash table
-// (decideAggBackend never picks the array for them).
-func (pl *plan) runRowWise(ctx context.Context, segs []storage.SegView, rs *runState) (*query.Result, error) {
-	kept, _, err := pl.admitSegments(segs, rs)
-	if err != nil {
-		return nil, err
-	}
-	morsels := pl.makeMorsels(kept)
-	process := func(p *partial, m morsel) {
-		es := kept[m.si]
-		st := es.st
-		del := es.sv.Del
-		t0 := time.Now()
-		p.scanned += int64(m.hi - m.lo)
-		key := p.key
-		kinds := p.h.Kinds()
-	rows:
-		for r := int32(m.lo); r < int32(m.hi); r++ {
-			if del != nil && del.Get(int(r)) {
-				continue
-			}
-			for _, test := range st.rowTests {
-				if !test(r) {
-					continue rows
-				}
-			}
-			ok := true
-			for k := range st.dims {
-				id := st.dims[k].id(r)
-				if id < 0 {
-					ok = false
-					break
-				}
-				binary.LittleEndian.PutUint32(key[4*k:], uint32(id))
-			}
-			if !ok {
-				continue
-			}
-			p.selected++
-			c := p.h.Upsert(key)
-			c.Count++
-			for k := range st.aggs {
-				ba := &st.aggs[k]
-				if ba.ap.agg.Expr == nil {
-					continue
-				}
-				c.Update(kinds, k, ba.eval(r))
+// processMorselRowWise is the per-morsel kernel of the tuple-at-a-time
+// variants (AIRScan_R and AIRScan_R_P of Table 6): each root tuple is
+// fetched, evaluated against every predicate — through AIR chains, or
+// against predicate vectors when the variant builds them — and fed to
+// hash-based grouping and aggregation. It exists to quantify what the
+// column-wise optimizations buy; planning, segment admission (zone-map
+// pruning), parallel morsel scheduling, cancellation, and result
+// extraction are the columnar path's (collect, extract). Row-wise variants
+// always aggregate into a hash table (decideAggBackend never picks the
+// array for them).
+func (pl *plan) processMorselRowWise(p *partial, es execSeg, lo, hi int) {
+	st := es.st
+	del := es.sv.Del
+	t0 := time.Now()
+	p.scanned += int64(hi - lo)
+	key := p.key
+	kinds := p.h.Kinds()
+rows:
+	for r := int32(lo); r < int32(hi); r++ {
+		if del != nil && del.Get(int(r)) {
+			continue
+		}
+		for _, test := range st.rowTests {
+			if !test(r) {
+				continue rows
 			}
 		}
-		p.scanNS += time.Since(t0).Nanoseconds()
+		ok := true
+		for k := range st.dims {
+			id := st.dims[k].id(r)
+			if id < 0 {
+				ok = false
+				break
+			}
+			binary.LittleEndian.PutUint32(key[4*k:], uint32(id))
+		}
+		if !ok {
+			continue
+		}
+		p.selected++
+		c := p.h.Upsert(key)
+		c.Count++
+		for k := range st.aggs {
+			ba := &st.aggs[k]
+			if ba.ap.agg.Expr == nil {
+				continue
+			}
+			c.Update(kinds, k, ba.eval(r))
+		}
 	}
-
-	total, err := pl.runParallel(ctx, morsels, process, rs)
-	if err != nil {
-		return nil, err
-	}
-	return pl.extract(total, rs)
+	p.scanNS += time.Since(t0).Nanoseconds()
 }

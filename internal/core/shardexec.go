@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"astore/internal/agg"
-	"astore/internal/obs"
 	"astore/internal/query"
 	"astore/internal/storage"
 )
@@ -24,101 +23,24 @@ import (
 // root segment views and returns the captured aggregation state. The subset
 // must come from the view the plan is fresh in (v.RootSegments(), possibly
 // filtered); admission still applies zone-map pruning and the per-segment
-// aggregate cache to the subset. Only columnar variants can export their
-// state; the row-wise baselines produce finalized rows directly.
+// aggregate cache to the subset. It is exec with a capture in place of
+// the extraction. Only columnar variants can export their state; the
+// row-wise baselines produce finalized rows directly.
 func (e *Engine) ExecPartial(ctx context.Context, v *View, c *Compiled, segs []storage.SegView, stats *Stats) (*agg.Partial, error) {
 	pl := c.pl
 	if pl.variant.rowWise() {
 		return nil, fmt.Errorf("core: partial execution requires a columnar variant (plan compiled as %s)", pl.variant)
 	}
-	rs := &runState{stats: pl.stats}
-	rs.stats.LeafNS = pl.leafNS
-
-	tr := obs.TraceFrom(ctx)
-	var execSpan obs.SpanID
-	var execT0 time.Time
-	if tr != nil {
-		execT0 = time.Now()
-		execSpan = tr.Start(tr.Root(), obs.StageExecute)
-	}
-	part, err := pl.runPartial(ctx, segs, rs)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		recordExecSpans(tr, execSpan, execT0, &rs.stats)
-		tr.End(execSpan)
-	}
-	if stats != nil {
-		*stats = rs.stats
-	}
-	return part, nil
-}
-
-// runPartial is runColumnar up to (but not including) finalization: admit
-// the segment subset, scan it with the regular worker pool, fold in any
-// cached per-segment partials, and capture the merged state as an immutable
-// snapshot. An empty subset (or one fully pruned) captures an empty
-// snapshot of the plan's aggregation form.
-func (pl *plan) runPartial(ctx context.Context, segs []storage.SegView, rs *runState) (*agg.Partial, error) {
-	kept, hits, err := pl.admitSegments(segs, rs)
-	if err != nil {
-		return nil, err
-	}
-	units := pl.makeUnits(kept)
-	process := func(p *partial, m morsel) {
-		if m.whole {
-			pl.processSegmentCached(ctx, p, kept[m.si])
-			return
-		}
-		pl.processMorselColumnar(p, kept[m.si], m.lo, m.hi)
-	}
-	total, err := pl.runParallel(ctx, units, process, rs)
-	if err != nil {
-		return nil, err
-	}
-	if total == nil {
-		// runParallel always builds a state; keep the guard for safety.
-		return pl.emptyPartial()
-	}
-	t0 := time.Now()
-	for _, part := range hits {
-		if total.arr != nil {
-			err = part.MergeIntoArray(total.arr)
-		} else {
-			err = part.MergeIntoHash(total.h)
-		}
-		if err != nil {
-			pl.eng.putArray(total.arr)
-			return nil, err
-		}
-	}
 	var snap *agg.Partial
-	if total.arr != nil {
-		snap = total.arr.Capture()
-	} else {
-		snap = total.h.Capture()
-	}
-	rs.stats.AggNS += time.Since(t0).Nanoseconds()
-	rs.stats.Groups = snap.Cells()
-	pl.eng.putArray(total.arr)
-	return snap, nil
-}
-
-// emptyPartial captures a zero-row snapshot of the plan's aggregation form.
-func (pl *plan) emptyPartial() (*agg.Partial, error) {
-	p, err := pl.newPartial()
-	if err != nil {
-		return nil, err
-	}
-	var snap *agg.Partial
-	if p.arr != nil {
-		snap = p.arr.Capture()
-	} else {
-		snap = p.h.Capture()
-	}
-	pl.eng.putArray(p.arr)
-	return snap, nil
+	err := pl.run(ctx, segs, stats, func(total *partial, rs *runState) error {
+		t0 := time.Now()
+		snap = total.capture()
+		pl.eng.putArray(total.arr)
+		rs.stats.AggNS += time.Since(t0).Nanoseconds()
+		rs.stats.Groups = snap.Cells()
+		return nil
+	})
+	return snap, err
 }
 
 // MergePartials merges per-shard snapshots of one compiled plan and
@@ -139,22 +61,9 @@ func (e *Engine) MergePartials(c *Compiled, parts []*agg.Partial, stats *Stats) 
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		if total.arr != nil {
-			err = part.MergeIntoArray(total.arr)
-		} else {
-			err = part.MergeIntoHash(total.h)
-		}
-		if err != nil {
-			pl.eng.putArray(total.arr)
-			return nil, err
-		}
+	if err := pl.mergeParts(total, parts, rs); err != nil {
+		return nil, err
 	}
-	rs.stats.AggNS += time.Since(t0).Nanoseconds()
 	res, err := pl.extract(total, rs)
 	if err != nil {
 		return nil, err

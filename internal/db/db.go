@@ -31,6 +31,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 
@@ -68,59 +69,63 @@ type cacheEntry struct {
 	c   *core.Compiled
 }
 
-// Stats are cumulative serving counters of a DB.
+// Stats are cumulative serving counters of a DB. GET /v1/stats serves
+// them as its "db" block under these JSON keys.
 type Stats struct {
 	// Prepares counts Prepare/PrepareOn/PrepareSQL calls.
-	Prepares int64
+	Prepares int64 `json:"prepares"`
 	// Execs counts query executions (Prepared.Exec and DB.Run).
-	Execs int64
+	Execs int64 `json:"execs"`
 	// PlanHits counts executions that reused a cached plan unchanged.
-	PlanHits int64
+	PlanHits int64 `json:"plan_hits"`
 	// PlanMisses counts compilations because no cached plan existed.
-	PlanMisses int64
+	PlanMisses int64 `json:"plan_misses"`
 	// PlanStale counts recompilations because table versions moved under a
 	// cached plan.
-	PlanStale int64
+	PlanStale int64 `json:"plan_stale"`
 	// PlanEvictions counts cached plans dropped because the cache exceeded
 	// its capacity (stale replacements do not count).
-	PlanEvictions int64
+	PlanEvictions int64 `json:"plan_evictions"`
 	// SegmentsTotal counts root segments considered across executions.
-	SegmentsTotal int64
+	SegmentsTotal int64 `json:"segments_total"`
 	// SegmentsPruned counts root segments skipped by zone-map pruning
 	// across executions (before any row work).
-	SegmentsPruned int64
+	SegmentsPruned int64 `json:"segments_pruned"`
 	// RowsScanned counts root rows considered across executions.
-	RowsScanned int64
+	RowsScanned int64 `json:"rows_scanned"`
 	// RowsSelected counts root rows surviving all predicates across
 	// executions.
-	RowsSelected int64
+	RowsSelected int64 `json:"rows_selected"`
 	// EncodedSegments counts admitted root segments containing at least
 	// one compressed (RLE/FoR) chunk across executions.
-	EncodedSegments int64
+	EncodedSegments int64 `json:"encoded_segments"`
 	// PruneByFilter attributes zone-map segment prunes to the filter that
-	// proved them, keyed by the filter's display label, cumulative across
-	// executions.
-	PruneByFilter map[string]int64
+	// proved them, keyed by the filter's display label (predicate text for
+	// root filters, "probe <table> via <fk>" for dimension probes),
+	// cumulative across executions. At most maxPruneLabels labels are kept;
+	// prunes by later labels count under "other". Omitted until the first
+	// attributed prune.
+	PruneByFilter map[string]int64 `json:"prune_by_filter,omitempty"`
 	// TailRows counts rows scanned live from mutable tails and flat roots
 	// across executions — the work the segment aggregate cache can never
 	// absorb.
-	TailRows int64
+	TailRows int64 `json:"tail_rows"`
 
 	// Segment aggregate cache counters, summed over the DB's engines
 	// (cumulative for hits/misses/evictions, point-in-time for
 	// bytes/entries). See core.Options.AggCacheBytes.
-	AggCacheHits      int64
-	AggCacheMisses    int64
-	AggCacheEvictions int64
-	AggCacheBytes     int64
-	AggCacheEntries   int64
+	AggCacheHits      int64 `json:"agg_cache_hits"`
+	AggCacheMisses    int64 `json:"agg_cache_misses"`
+	AggCacheEvictions int64 `json:"agg_cache_evictions"`
+	AggCacheBytes     int64 `json:"agg_cache_bytes"`
+	AggCacheEntries   int64 `json:"agg_cache_entries"`
 	// Sealed-segment binding cache counters (decode buffers and probe
 	// verdicts, byte-accounted LRU), summed over the DB's engines.
-	BindCacheHits      int64
-	BindCacheMisses    int64
-	BindCacheEvictions int64
-	BindCacheBytes     int64
-	BindCacheEntries   int64
+	BindCacheHits      int64 `json:"bind_cache_hits"`
+	BindCacheMisses    int64 `json:"bind_cache_misses"`
+	BindCacheEvictions int64 `json:"bind_cache_evictions"`
+	BindCacheBytes     int64 `json:"bind_cache_bytes"`
+	BindCacheEntries   int64 `json:"bind_cache_entries"`
 }
 
 // Open builds a DB over the catalog: every fact table (a table referenced
@@ -228,12 +233,7 @@ func (d *DB) SetPlanCacheCap(n int) {
 func (d *DB) Stats() Stats {
 	d.mu.Lock()
 	s := d.stats
-	if d.stats.PruneByFilter != nil {
-		s.PruneByFilter = make(map[string]int64, len(d.stats.PruneByFilter))
-		for k, v := range d.stats.PruneByFilter {
-			s.PruneByFilter[k] = v
-		}
-	}
+	s.PruneByFilter = maps.Clone(d.stats.PruneByFilter)
 	d.mu.Unlock()
 	for _, name := range d.order {
 		cs := d.facts[name].CacheStats()
@@ -460,9 +460,6 @@ func (d *DB) Run(ctx context.Context, q *query.Query) (*query.Result, error) {
 
 // RunStats is Run filling per-phase engine stats when stats is non-nil.
 func (d *DB) RunStats(ctx context.Context, q *query.Query, stats *core.Stats) (*query.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -471,7 +468,29 @@ func (d *DB) RunStats(ctx context.Context, q *query.Query, stats *core.Stats) (*
 		return nil, err
 	}
 	eng := d.facts[fact]
-	tr := obs.TraceFrom(ctx)
+	// Run bypasses the plan cache by design; a cold compile is a miss.
+	cold := func(view *core.View) (*core.Compiled, bool, error) {
+		c, err := view.Compile(q)
+		return c, false, err
+	}
+	var res *query.Result
+	err = d.withPlan(ctx, obs.TraceFrom(ctx), eng, cold, func(view *core.View, c *core.Compiled) (err error) {
+		res, err = d.execCounted(ctx, eng, view, c, stats)
+		return err
+	})
+	return res, err
+}
+
+// withPlan is the DB's one pin + compile path: it fails fast on a
+// cancelled ctx, pins a view of eng, compiles under it (compile reports
+// whether the plan came from the cache unchanged; it may also veto the
+// pin), and runs fn while the view stays pinned. The pin is released on
+// every path. A non-nil tr receives the pin and plan_cache spans.
+func (d *DB) withPlan(ctx context.Context, tr *obs.Trace, eng *core.Engine,
+	compile func(*core.View) (*core.Compiled, bool, error), fn func(*core.View, *core.Compiled) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	var sp obs.SpanID
 	if tr != nil {
 		sp = tr.Start(tr.Root(), obs.StagePin)
@@ -481,30 +500,30 @@ func (d *DB) RunStats(ctx context.Context, q *query.Query, stats *core.Stats) (*
 		tr.End(sp)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer view.Release()
 	if tr != nil {
 		sp = tr.Start(tr.Root(), obs.StagePlanCache)
 	}
-	c, err := view.Compile(q)
+	c, hit, err := compile(view)
 	if tr != nil {
-		// Run bypasses the plan cache by design; a cold compile is a miss.
-		tr.SetHit(sp, false)
+		tr.SetHit(sp, hit)
 		tr.End(sp)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
+	return fn(view, c)
+}
+
+// execCounted counts one execution and runs a compiled plan under its
+// view, folding the run's segment-pruning counters into the DB's
+// cumulative stats.
+func (d *DB) execCounted(ctx context.Context, eng *core.Engine, view *core.View, c *core.Compiled, stats *core.Stats) (*query.Result, error) {
 	d.mu.Lock()
 	d.stats.Execs++
 	d.mu.Unlock()
-	return d.execCounted(ctx, eng, view, c, stats)
-}
-
-// execCounted executes a compiled plan under its view and folds the run's
-// segment-pruning counters into the DB's cumulative stats.
-func (d *DB) execCounted(ctx context.Context, eng *core.Engine, view *core.View, c *core.Compiled, stats *core.Stats) (*query.Result, error) {
 	var local core.Stats
 	if stats == nil {
 		stats = &local
@@ -559,35 +578,16 @@ func (p *Prepared) Exec(ctx context.Context) (*query.Result, error) {
 
 // ExecStats is Exec filling per-phase engine stats when stats is non-nil.
 func (p *Prepared) ExecStats(ctx context.Context, stats *core.Stats) (*query.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tr := obs.TraceFrom(ctx)
-	var sp obs.SpanID
-	if tr != nil {
-		sp = tr.Start(tr.Root(), obs.StagePin)
-	}
-	view, err := p.eng.Acquire()
-	if tr != nil {
-		tr.End(sp)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer view.Release()
-	if tr != nil {
-		sp = tr.Start(tr.Root(), obs.StagePlanCache)
-	}
-	c, hit, err := p.db.compiled(p.fact, p.sig, p.q, view)
-	if tr != nil {
-		tr.SetHit(sp, hit)
-		tr.End(sp)
-	}
-	if err != nil {
-		return nil, err
-	}
-	p.db.mu.Lock()
-	p.db.stats.Execs++
-	p.db.mu.Unlock()
-	return p.db.execCounted(ctx, p.eng, view, c, stats)
+	var res *query.Result
+	err := p.db.withPlan(ctx, obs.TraceFrom(ctx), p.eng, p.compiled, func(view *core.View, c *core.Compiled) (err error) {
+		res, err = p.db.execCounted(ctx, p.eng, view, c, stats)
+		return err
+	})
+	return res, err
+}
+
+// compiled returns the statement's plan fresh in view, through the DB's
+// plan cache.
+func (p *Prepared) compiled(view *core.View) (*core.Compiled, bool, error) {
+	return p.db.compiled(p.fact, p.sig, p.q, view)
 }

@@ -67,28 +67,23 @@ func (e *VersionMismatchError) Error() string {
 // cumulative stats — the coordinator folds the whole distributed execution
 // once via AddExecStats.
 func (p *Prepared) ExecPartial(ctx context.Context, req PartialRequest, stats *core.Stats) (*PartialResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	view, err := p.eng.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer view.Release()
-	vers := view.Versions()[p.fact]
-	if req.ExpectDataVersion != 0 && vers.Data != req.ExpectDataVersion {
-		return nil, &VersionMismatchError{Fact: p.fact, Want: req.ExpectDataVersion, Got: vers.Data}
-	}
-	c, _, err := p.db.compiled(p.fact, p.sig, p.q, view)
-	if err != nil {
-		return nil, err
+	var vers core.TableVersions
+	expect := func(view *core.View) (*core.Compiled, bool, error) {
+		vers = view.Versions()[p.fact]
+		if req.ExpectDataVersion != 0 && vers.Data != req.ExpectDataVersion {
+			return nil, false, &VersionMismatchError{Fact: p.fact, Want: req.ExpectDataVersion, Got: vers.Data}
+		}
+		return p.compiled(view)
 	}
 	var local core.Stats
 	if stats == nil {
 		stats = &local
 	}
-	subset := req.subset(view.RootSegments())
-	part, err := p.eng.ExecPartial(ctx, view, c, subset, stats)
+	var part *agg.Partial
+	err := p.db.withPlan(ctx, nil, p.eng, expect, func(view *core.View, c *core.Compiled) (err error) {
+		part, err = p.eng.ExecPartial(ctx, view, c, req.subset(view.RootSegments()), stats)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -157,19 +152,12 @@ func ShardSegments(segs []storage.SegView, shard, n int) []storage.SegView {
 // counters (merge time, group count) land in stats; cumulative DB counters
 // are the coordinator's job (AddExecStats).
 func (p *Prepared) MergePartials(ctx context.Context, parts []*agg.Partial, stats *core.Stats) (*query.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	view, err := p.eng.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer view.Release()
-	c, _, err := p.db.compiled(p.fact, p.sig, p.q, view)
-	if err != nil {
-		return nil, err
-	}
-	return p.eng.MergePartials(c, parts, stats)
+	var res *query.Result
+	err := p.db.withPlan(ctx, nil, p.eng, p.compiled, func(_ *core.View, c *core.Compiled) (err error) {
+		res, err = p.eng.MergePartials(c, parts, stats)
+		return err
+	})
+	return res, err
 }
 
 // AddExecStats counts one distributed execution in the DB's cumulative
@@ -187,8 +175,13 @@ func (d *DB) AddExecStats(stats *core.Stats) {
 	d.foldStatsLocked(stats)
 }
 
-// foldStatsLocked accumulates one execution's segment counters; callers
-// hold d.mu.
+// maxPruneLabels bounds the distinct PruneByFilter labels: root-filter
+// labels carry their constants, so ad-hoc traffic would otherwise grow the
+// map (and /v1/stats) without bound.
+const maxPruneLabels = 64
+
+// foldStatsLocked accumulates one execution's segment counters — the one
+// fold point of single-node and coordinator runs; callers hold d.mu.
 func (d *DB) foldStatsLocked(stats *core.Stats) {
 	d.stats.SegmentsTotal += int64(stats.SegmentsTotal)
 	d.stats.SegmentsPruned += int64(stats.SegmentsPruned)
@@ -201,6 +194,9 @@ func (d *DB) foldStatsLocked(stats *core.Stats) {
 			d.stats.PruneByFilter = make(map[string]int64)
 		}
 		for k, v := range stats.PruneByFilter {
+			if _, ok := d.stats.PruneByFilter[k]; !ok && len(d.stats.PruneByFilter) >= maxPruneLabels {
+				k = "other"
+			}
 			d.stats.PruneByFilter[k] += int64(v)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"astore/internal/db"
 	"astore/internal/obs"
 	"astore/internal/shard"
 )
@@ -11,30 +12,23 @@ import (
 // endpointMetrics are cumulative per-endpoint serving counters, updated
 // lock-free on every request by the instrumentation wrapper. lat is the
 // endpoint's latency histogram in the shared registry (set once at mount
-// time, before any request), so /v1/stats quantiles and /metrics buckets
-// come from the same observations.
+// time, before any request): it holds the request count and summed wall
+// time, and /v1/stats quantiles and /metrics buckets come from the same
+// observations.
 type endpointMetrics struct {
-	count   atomic.Int64 // requests served (including errors)
-	errors  atomic.Int64 // responses with status >= 400
-	totalNS atomic.Int64 // summed wall time
-	maxNS   atomic.Int64 // slowest request
-	lat     *obs.Histogram
-	errsC   *obs.Counter
+	errors atomic.Int64 // responses with status >= 400
+	maxNS  atomic.Int64 // slowest request
+	lat    *obs.Histogram
+	errsC  *obs.Counter
 }
 
 func (m *endpointMetrics) observe(d time.Duration, failed bool) {
-	m.count.Add(1)
 	if failed {
 		m.errors.Add(1)
-		if m.errsC != nil {
-			m.errsC.Inc()
-		}
+		m.errsC.Inc()
 	}
-	if m.lat != nil {
-		m.lat.Observe(d.Seconds())
-	}
+	m.lat.Observe(d.Seconds())
 	ns := d.Nanoseconds()
-	m.totalNS.Add(ns)
 	for {
 		cur := m.maxNS.Load()
 		if ns <= cur || m.maxNS.CompareAndSwap(cur, ns) {
@@ -58,14 +52,12 @@ type EndpointStats struct {
 
 func (m *endpointMetrics) snapshot() EndpointStats {
 	s := EndpointStats{
-		Count:  m.count.Load(),
+		Count:  m.lat.Count(),
 		Errors: m.errors.Load(),
 		MaxUS:  float64(m.maxNS.Load()) / 1e3,
 	}
 	if s.Count > 0 {
-		s.AvgUS = float64(m.totalNS.Load()) / float64(s.Count) / 1e3
-	}
-	if m.lat != nil && m.lat.Count() > 0 {
+		s.AvgUS = m.lat.Sum() / float64(s.Count) * 1e6
 		s.P50US = m.lat.Quantile(0.50) * 1e6
 		s.P95US = m.lat.Quantile(0.95) * 1e6
 		s.P99US = m.lat.Quantile(0.99) * 1e6
@@ -84,50 +76,9 @@ type AdmissionStats struct {
 	Rejected    int64 `json:"rejected"`
 }
 
-// DBStats is the JSON rendering of the DB's plan-cache and serving counters.
-type DBStats struct {
-	Prepares      int64 `json:"prepares"`
-	Execs         int64 `json:"execs"`
-	PlanHits      int64 `json:"plan_hits"`
-	PlanMisses    int64 `json:"plan_misses"`
-	PlanStale     int64 `json:"plan_stale"`
-	PlanEvictions int64 `json:"plan_evictions"`
-	// SegmentsTotal and SegmentsPruned report the segment-admission summary
-	// across all executions — the same decision Explain renders per plan:
-	// segments considered vs. segments skipped before any row work.
-	SegmentsTotal  int64 `json:"segments_total"`
-	SegmentsPruned int64 `json:"segments_pruned"`
-	// RowsScanned and RowsSelected report root rows considered vs. rows
-	// surviving all predicates across executions.
-	RowsScanned  int64 `json:"rows_scanned"`
-	RowsSelected int64 `json:"rows_selected"`
-	// EncodedSegments counts admitted segments containing at least one
-	// compressed (RLE/FoR) chunk across executions.
-	EncodedSegments int64 `json:"encoded_segments"`
-	// PruneByFilter attributes segment prunes to the filter that proved
-	// them, keyed by the filter's display label (predicate text for root
-	// filters, "probe <table> via <fk>" for dimension probes). Omitted
-	// until the first attributed prune.
-	PruneByFilter map[string]int64 `json:"prune_by_filter,omitempty"`
-	// TailRows counts rows scanned live from mutable tails and flat roots
-	// — the work the segment aggregate cache can never absorb.
-	TailRows int64 `json:"tail_rows"`
-	// Segment aggregate cache counters (per-plan partial aggregates over
-	// sealed segments): cumulative hits/misses/evictions, point-in-time
-	// bytes/entries, summed over the DB's engines.
-	AggCacheHits      int64 `json:"agg_cache_hits"`
-	AggCacheMisses    int64 `json:"agg_cache_misses"`
-	AggCacheEvictions int64 `json:"agg_cache_evictions"`
-	AggCacheBytes     int64 `json:"agg_cache_bytes"`
-	AggCacheEntries   int64 `json:"agg_cache_entries"`
-	// Sealed-segment binding cache counters (decode buffers and probe
-	// verdicts, byte-accounted LRU).
-	BindCacheHits      int64 `json:"bind_cache_hits"`
-	BindCacheMisses    int64 `json:"bind_cache_misses"`
-	BindCacheEvictions int64 `json:"bind_cache_evictions"`
-	BindCacheBytes     int64 `json:"bind_cache_bytes"`
-	BindCacheEntries   int64 `json:"bind_cache_entries"`
-}
+// DBStats is the "db" block of /v1/stats: the DB's plan-cache and serving
+// counters, served as db.Stats renders them.
+type DBStats = db.Stats
 
 // TableStats is the per-table block of /v1/stats: the row count and
 // version counters of one table as observed by a transient snapshot.

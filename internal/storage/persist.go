@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary database image format (little-endian throughout):
@@ -49,6 +50,16 @@ const (
 // maxLoadCount bounds element counts read from an image, as a defense
 // against corrupt or hostile files.
 const maxLoadCount = 1 << 31
+
+// maxPrealloc caps the up-front allocation sized by a length field read
+// from an image: slices start with room for at most this many elements and
+// grow as elements actually arrive, so a forged length costs no more
+// memory than the bytes present.
+const maxPrealloc = 1 << 16
+
+// prealloc returns an empty slice with room for n elements, capped at
+// maxPrealloc.
+func prealloc[T any](n int) []T { return make([]T, 0, min(n, maxPrealloc)) }
 
 // Save writes the database as a binary image. The writer is buffered
 // internally; callers own closing the underlying file.
@@ -212,8 +223,8 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 	if nd > maxLoadCount {
 		return nil, fmt.Errorf("storage: load: dictionary count %d too large", nd)
 	}
-	dicts := make([]*Dict, nd)
-	for i := range dicts {
+	dicts := prealloc[*Dict](int(nd))
+	for i := uint32(0); i < nd; i++ {
 		nv, err := readU32(br)
 		if err != nil {
 			return nil, err
@@ -229,7 +240,7 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 			}
 			d.Intern(s)
 		}
-		dicts[i] = d
+		dicts = append(dicts, d)
 	}
 
 	nt, err := readU32(br)
@@ -296,7 +307,7 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 				tail -= rows
 			}
 			chunkCounts = append(append([]int(nil), sealedRows...), tail)
-			chunks = make(map[string][]Column, ncols)
+			chunks = make(map[string][]Column)
 		}
 		for ci := uint32(0); ci < ncols; ci++ {
 			colName, err := readStr(br)
@@ -353,13 +364,18 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 			return nil, err
 		}
 		if hasDel == 1 {
-			t.del = NewBitmap(int(nrows))
-			words := (int(nrows) + 63) / 64
-			for wi := 0; wi < words; wi++ {
+			// Read the words before sizing the bitmap by nrows.
+			nwords := (int(nrows) + 63) / 64
+			words := prealloc[uint64](nwords)
+			for len(words) < nwords {
 				word, err := readU64(br)
 				if err != nil {
 					return nil, err
 				}
+				words = append(words, word)
+			}
+			t.del = NewBitmap(int(nrows))
+			for wi, word := range words {
 				for b := 0; b < 64; b++ {
 					i := wi*64 + b
 					if i < int(nrows) && word&(1<<uint(b)) != 0 {
@@ -508,9 +524,9 @@ func writeChunkPayload(w *bufio.Writer, c Column, n int) error {
 // readRLEEnds reads and validates cumulative run ends: strictly increasing,
 // last equal to the chunk row count.
 func readRLEEnds(r *bufio.Reader, runs, n int) ([]int32, error) {
-	end := make([]int32, runs)
+	end := prealloc[int32](runs)
 	prev := int32(0)
-	for i := range end {
+	for i := 0; i < runs; i++ {
 		x, err := readU32(r)
 		if err != nil {
 			return nil, err
@@ -518,8 +534,8 @@ func readRLEEnds(r *bufio.Reader, runs, n int) ([]int32, error) {
 		if int32(x) <= prev {
 			return nil, fmt.Errorf("storage: load: RLE run ends not increasing")
 		}
-		end[i] = int32(x)
-		prev = end[i]
+		prev = int32(x)
+		end = append(end, prev)
 	}
 	if runs > 0 && int(end[runs-1]) != n {
 		return nil, fmt.Errorf("storage: load: RLE run ends cover %d rows, want %d", end[runs-1], n)
@@ -550,8 +566,8 @@ func readChunk(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, error) {
 		}
 		switch typ {
 		case TInt32, TDict:
-			vals := make([]int32, runs)
-			for i := range vals {
+			vals := prealloc[int32](int(runs))
+			for i := uint32(0); i < runs; i++ {
 				x, err := readU32(r)
 				if err != nil {
 					return nil, err
@@ -559,7 +575,7 @@ func readChunk(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, error) {
 				if typ == TDict && int(x) >= dict.Len() {
 					return nil, fmt.Errorf("storage: code %d out of dictionary range", x)
 				}
-				vals[i] = int32(x)
+				vals = append(vals, int32(x))
 			}
 			end, err := readRLEEnds(r, int(runs), n)
 			if err != nil {
@@ -570,13 +586,13 @@ func readChunk(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, error) {
 			}
 			return &RLEInt32Col{V: vals, End: end}, nil
 		case TInt64:
-			vals := make([]int64, runs)
-			for i := range vals {
+			vals := prealloc[int64](int(runs))
+			for i := uint32(0); i < runs; i++ {
 				x, err := readU64(r)
 				if err != nil {
 					return nil, err
 				}
-				vals[i] = int64(x)
+				vals = append(vals, int64(x))
 			}
 			end, err := readRLEEnds(r, int(runs), n)
 			if err != nil {
@@ -611,11 +627,13 @@ func readChunk(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, error) {
 			return nil, fmt.Errorf("storage: load: FoR chunk shape invalid (width %d, rows %d/%d, words %d/%d)",
 				width, cn, n, nwords, wantWords)
 		}
-		words := make([]uint64, nwords)
-		for i := range words {
-			if words[i], err = readU64(r); err != nil {
+		words := prealloc[uint64](int(nwords))
+		for i := uint32(0); i < nwords; i++ {
+			word, err := readU64(r)
+			if err != nil {
 				return nil, err
 			}
+			words = append(words, word)
 		}
 		if typ == TInt32 {
 			return &FoRInt32Col{Base: int64(base), Width: width, N: n, Words: words}, nil
@@ -655,48 +673,48 @@ func readColumnHeader(r *bufio.Reader, dicts []*Dict) (Type, *Dict, error) {
 func readPlainPayload(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, error) {
 	switch typ {
 	case TInt32:
-		v := make([]int32, n)
-		for i := range v {
+		v := prealloc[int32](n)
+		for i := 0; i < n; i++ {
 			x, err := readU32(r)
 			if err != nil {
 				return nil, err
 			}
-			v[i] = int32(x)
+			v = append(v, int32(x))
 		}
 		return NewInt32Col(v), nil
 	case TInt64:
-		v := make([]int64, n)
-		for i := range v {
+		v := prealloc[int64](n)
+		for i := 0; i < n; i++ {
 			x, err := readU64(r)
 			if err != nil {
 				return nil, err
 			}
-			v[i] = int64(x)
+			v = append(v, int64(x))
 		}
 		return NewInt64Col(v), nil
 	case TFloat64:
-		v := make([]float64, n)
-		for i := range v {
+		v := prealloc[float64](n)
+		for i := 0; i < n; i++ {
 			x, err := readU64(r)
 			if err != nil {
 				return nil, err
 			}
-			v[i] = math.Float64frombits(x)
+			v = append(v, math.Float64frombits(x))
 		}
 		return NewFloat64Col(v), nil
 	case TString:
-		v := make([]string, n)
-		for i := range v {
+		v := prealloc[string](n)
+		for i := 0; i < n; i++ {
 			s, err := readStr(r)
 			if err != nil {
 				return nil, err
 			}
-			v[i] = s
+			v = append(v, s)
 		}
 		return NewStrCol(v), nil
 	case TDict:
-		codes := make([]int32, n)
-		for i := range codes {
+		codes := prealloc[int32](n)
+		for i := 0; i < n; i++ {
 			x, err := readU32(r)
 			if err != nil {
 				return nil, err
@@ -704,7 +722,7 @@ func readPlainPayload(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, err
 			if int(x) >= dict.Len() {
 				return nil, fmt.Errorf("storage: code %d out of dictionary range", x)
 			}
-			codes[i] = int32(x)
+			codes = append(codes, int32(x))
 		}
 		return &DictCol{Codes: codes, Dict: dict}, nil
 	default:
@@ -763,9 +781,13 @@ func readStr(r *bufio.Reader) (string, error) {
 	if n > 1<<28 {
 		return "", fmt.Errorf("storage: load: string length %d too large", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
+	b := prealloc[byte](int(n))
+	for len(b) < int(n) {
+		k := min(int(n)-len(b), maxPrealloc)
+		b = slices.Grow(b, k)[:len(b)+k]
+		if _, err := io.ReadFull(r, b[len(b)-k:]); err != nil {
+			return "", err
+		}
 	}
 	return string(b), nil
 }

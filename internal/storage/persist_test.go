@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -179,5 +180,25 @@ func TestLoadRejectsHostileCounts(t *testing.T) {
 	}
 	if _, err := LoadDatabase(strings.NewReader("")); err == nil {
 		t.Fatal("empty stream accepted")
+	}
+}
+
+// TestLoadBoundsAllocationByInput: a length field read from the image must
+// not size an allocation on its own. Each input declares a huge
+// dictionary count and then ends; each must fail with an error after
+// allocating a bounded amount, not gigabytes.
+func TestLoadBoundsAllocationByInput(t *testing.T) {
+	for _, in := range []string{"ASTORDB10001", "ASTORDB1\x00\x00\x00\x01", "ASTORDB3\xff\xff\xff\x7f"} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := LoadDatabase(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%q: truncated image accepted", in)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+			t.Errorf("%q: allocated %d MB before failing, want < 16 MB", in, alloc>>20)
+		}
 	}
 }

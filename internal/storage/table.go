@@ -114,8 +114,15 @@ func (t *Table) MustAddColumn(name string, c Column) {
 	}
 }
 
-// Column returns the named column, or nil if absent.
-func (t *Table) Column(name string) Column { return t.cols[name] }
+// Column returns the named column, or nil if absent. The lookup is safe
+// beside writers, whose copy-on-write replaces map entries under mu (query
+// routing resolves columns on live tables); reading the returned live
+// column is not, so readers use a Snapshot for that.
+func (t *Table) Column(name string) Column {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.cols[name]
+}
 
 // ColumnNames returns the column names in declaration order.
 func (t *Table) ColumnNames() []string { return t.names }

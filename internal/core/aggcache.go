@@ -43,22 +43,35 @@ type bindKey struct {
 	epoch uint64
 }
 
+// planKey is a memCache key: every entry belongs to one compiled plan
+// instance, so a released plan's entries can be dropped together.
+type planKey interface{ planID() uint64 }
+
+func (k aggKey) planID() uint64  { return k.plan }
+func (k bindKey) planID() uint64 { return k.plan }
+
 // memCache is a byte-accounted LRU cache shared by every plan of one
 // engine. A nil *memCache is the disabled state: get misses and put is a
 // no-op, so call sites need no budget checks. Cumulative hit/miss/eviction
 // counters feed db.Stats and the /metrics families.
+//
+// Entries are also indexed by plan id, so dropPlan removes a released
+// plan's entries without walking the LRU: an entry (a binding in
+// particular) keeps its plan's predicate and group vectors reachable, and
+// the byte accounting does not count those.
 type memCache struct {
 	mu     sync.Mutex
 	budget int64
 	bytes  int64
-	ll     *list.List // front = most recently used
-	items  map[any]*list.Element
+	ll     *list.List // of *memEntry; front = most recently used
+	items  map[planKey]*list.Element
+	plans  map[uint64]map[planKey]struct{}
 
 	hits, misses, evictions int64
 }
 
 type memEntry struct {
-	key   any
+	key   planKey
 	val   any
 	bytes int64
 }
@@ -67,13 +80,18 @@ func newMemCache(budget int64) *memCache {
 	if budget <= 0 {
 		return nil
 	}
-	return &memCache{budget: budget, ll: list.New(), items: make(map[any]*list.Element)}
+	return &memCache{
+		budget: budget,
+		ll:     list.New(),
+		items:  make(map[planKey]*list.Element),
+		plans:  make(map[uint64]map[planKey]struct{}),
+	}
 }
 
 func (c *memCache) enabled() bool { return c != nil }
 
 // get returns the cached value and refreshes its recency.
-func (c *memCache) get(key any) (any, bool) {
+func (c *memCache) get(key planKey) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -94,7 +112,7 @@ func (c *memCache) get(key any) (any, bool) {
 // Re-installing an existing key refreshes its value and accounting (two
 // executions may race to compute the same partial; both results are
 // identical, so last-writer-wins is safe).
-func (c *memCache) put(key, val any, bytes int64) {
+func (c *memCache) put(key planKey, val any, bytes int64) {
 	if c == nil || bytes > c.budget {
 		return
 	}
@@ -108,17 +126,46 @@ func (c *memCache) put(key, val any, bytes int64) {
 	} else {
 		c.items[key] = c.ll.PushFront(&memEntry{key: key, val: val, bytes: bytes})
 		c.bytes += bytes
+		keys := c.plans[key.planID()]
+		if keys == nil {
+			keys = make(map[planKey]struct{})
+			c.plans[key.planID()] = keys
+		}
+		keys[key] = struct{}{}
 	}
 	for c.bytes > c.budget {
 		back := c.ll.Back()
 		if back == nil {
 			break
 		}
-		e := back.Value.(*memEntry)
-		c.ll.Remove(back)
-		delete(c.items, e.key)
-		c.bytes -= e.bytes
+		c.removeLocked(back)
 		c.evictions++
+	}
+}
+
+// dropPlan removes every entry of the given plan instance (see
+// Compiled.Release).
+func (c *memCache) dropPlan(plan uint64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key := range c.plans[plan] {
+		c.removeLocked(c.items[key])
+	}
+}
+
+// removeLocked unlinks one entry from the LRU and both indexes.
+func (c *memCache) removeLocked(el *list.Element) {
+	e := el.Value.(*memEntry)
+	c.ll.Remove(el)
+	delete(c.items, e.key)
+	c.bytes -= e.bytes
+	pid := e.key.planID()
+	delete(c.plans[pid], e.key)
+	if len(c.plans[pid]) == 0 {
+		delete(c.plans, pid)
 	}
 }
 

@@ -284,6 +284,18 @@ func (v *View) Compile(q *query.Query) (*Compiled, error) {
 	return &Compiled{pl: pl, versions: v.versions, rootName: v.root.Name}, nil
 }
 
+// Release drops the plan's entries from the engine's aggregate and binding
+// caches. Call it when the plan is discarded: entries are keyed by plan
+// instance, so no other plan can hit them, and a binding keeps the plan's
+// predicate and group vectors reachable. Executions of the plan still in
+// flight stay correct; entries they install afterwards are bounded by the
+// caches' LRU like any other.
+func (c *Compiled) Release() {
+	e := c.pl.eng
+	e.aggCache.dropPlan(c.pl.id)
+	e.bindCache.dropPlan(c.pl.id)
+}
+
 // Versions returns the per-table versions the plan was compiled at.
 func (c *Compiled) Versions() map[string]TableVersions { return c.versions }
 

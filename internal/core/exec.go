@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"encoding/binary"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,15 +58,27 @@ type partial struct {
 	scanned, selected int64
 	mergeErr          error // first in-worker merge failure (shape mismatch)
 
-	// Reused per-morsel buffers.
+	scanBufs
+}
+
+// scanBufs are the per-morsel buffers a worker reuses across morsels. They
+// belong to the worker, not to a segment: a cache-miss segment's scratch
+// state borrows its worker's buffers and hands them back, so no segment
+// regrows a selection vector.
+type scanBufs struct {
 	sel   []int32
 	mi    []int32
 	cells []*agg.Cell
 	key   []byte
 }
 
-func (pl *plan) newPartial() (*partial, error) {
-	p := &partial{key: make([]byte, 4*len(pl.dims))}
+// newPartial returns an empty aggregation state that scans with bufs (the
+// zero scanBufs for a fresh worker).
+func (pl *plan) newPartial(bufs scanBufs) (*partial, error) {
+	if bufs.key == nil {
+		bufs.key = make([]byte, 4*len(pl.dims))
+	}
+	p := &partial{scanBufs: bufs}
 	if pl.useArray {
 		arr, err := pl.eng.getArray(pl.dimCards, pl.aggKinds)
 		if err != nil {
@@ -321,7 +334,7 @@ func (pl *plan) makeUnits(kept []execSeg) []morsel {
 // the scratch into the worker's partial. Cancellation is honored between
 // batches; a cancelled scan installs nothing (the run is abandoned).
 func (pl *plan) processSegmentCached(ctx context.Context, p *partial, es execSeg) {
-	scratch, err := pl.newPartial()
+	scratch, err := pl.newPartial(p.scanBufs)
 	if err != nil {
 		// Array pool exhaustion is impossible mid-run (the shape already
 		// exists); be safe and scan uncached.
@@ -341,6 +354,7 @@ func (pl *plan) processSegmentCached(ctx context.Context, p *partial, es execSeg
 		}
 		pl.processMorselColumnar(scratch, es, lo, hi)
 	}
+	p.scanBufs = scratch.scanBufs
 	t0 := time.Now()
 	if complete {
 		part := scratch.capture()
@@ -364,7 +378,7 @@ func (pl *plan) runParallel(ctx context.Context, morsels []morsel, process func(
 	}
 	partials := make([]*partial, workers)
 	for w := range partials {
-		p, err := pl.newPartial()
+		p, err := pl.newPartial(scanBufs{})
 		if err != nil {
 			for _, prev := range partials[:w] {
 				pl.eng.putArray(prev.arr)
@@ -439,18 +453,21 @@ func (pl *plan) processMorselColumnar(p *partial, es execSeg, lo, hi int) {
 	p.scanned += int64(hi - lo)
 	st := es.st
 
-	// Phase 2a: scan-and-filter with a shrinking selection vector.
-	sel := p.sel[:0]
+	// Phase 2a: scan-and-filter with a shrinking selection vector. The
+	// buffer grows at most once per worker; live rows are written by index.
+	sel := slices.Grow(p.sel[:0], hi-lo)[:hi-lo]
 	if del := es.sv.Del; del == nil {
-		for r := lo; r < hi; r++ {
-			sel = append(sel, int32(r))
+		for j := range sel {
+			sel[j] = int32(lo + j)
 		}
 	} else {
+		words := del.Words()
+		n := 0
 		for r := lo; r < hi; r++ {
-			if !del.Get(r) {
-				sel = append(sel, int32(r))
-			}
+			sel[n] = int32(r)
+			n += int(^words[r>>6]>>(uint(r)&63)) & 1
 		}
+		sel = sel[:n]
 	}
 	for i := range st.filters {
 		if len(sel) == 0 {
@@ -512,14 +529,18 @@ func filterProbe(f *boundFilter, sel []int32) []int32 {
 		return out
 	}
 	if f.probe.vec != nil && len(f.probe.dimFKs) == 0 {
+		// Branch-free compaction: every row is written at the cursor, which
+		// advances by the row's predicate-vector bit. FK values are bounded
+		// by the plan's fkMax (rootCovered), so x indexes inside the vector.
 		fk := f.fk0
-		vec := f.probe.vec
+		words := f.probe.vec.Words()
+		n := 0
 		for _, r := range sel {
-			if vec.Get(int(fk[r])) {
-				out = append(out, r)
-			}
+			x := uint32(fk[r])
+			sel[n] = r
+			n += int(words[x>>6]>>(x&63)) & 1
 		}
-		return out
+		return sel[:n]
 	}
 	for _, r := range sel {
 		if f.keep(r) {

@@ -57,7 +57,7 @@ func (e *Engine) MergePartials(c *Compiled, parts []*agg.Partial, stats *Stats) 
 		return nil, fmt.Errorf("core: partial merge requires a columnar variant (plan compiled as %s)", pl.variant)
 	}
 	rs := &runState{stats: pl.stats}
-	total, err := pl.newPartial()
+	total, err := pl.newPartial(scanBufs{})
 	if err != nil {
 		return nil, err
 	}

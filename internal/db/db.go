@@ -338,8 +338,7 @@ func (d *DB) compiled(fact, sig string, q *query.Query, view *core.View) (*core.
 			return entry.c, true, nil
 		}
 		// Stale: drop it; the recompilation below replaces it.
-		d.lru.Remove(el)
-		delete(d.cache, key)
+		d.dropLocked(el)
 		d.stats.PlanStale++
 	} else {
 		d.stats.PlanMisses++
@@ -357,8 +356,7 @@ func (d *DB) compiled(fact, sig string, q *query.Query, view *core.View) (*core.
 
 	d.mu.Lock()
 	if el, ok := d.cache[key]; ok {
-		d.lru.Remove(el)
-		delete(d.cache, key)
+		d.dropLocked(el)
 	}
 	d.cache[key] = d.lru.PushFront(&cacheEntry{key: key, c: c})
 	for d.lru.Len() > d.cap {
@@ -373,9 +371,17 @@ func (d *DB) evictOldestLocked() {
 	if el == nil {
 		return
 	}
-	d.lru.Remove(el)
-	delete(d.cache, el.Value.(*cacheEntry).key)
+	d.dropLocked(el)
 	d.stats.PlanEvictions++
+}
+
+// dropLocked removes a plan from the plan cache and releases its segment
+// cache entries, which only that plan instance could hit.
+func (d *DB) dropLocked(el *list.Element) {
+	entry := el.Value.(*cacheEntry)
+	d.lru.Remove(el)
+	delete(d.cache, entry.key)
+	entry.c.Release()
 }
 
 // Prepare resolves, routes, and compiles a query for repeated execution.
@@ -475,6 +481,7 @@ func (d *DB) RunStats(ctx context.Context, q *query.Query, stats *core.Stats) (*
 	}
 	var res *query.Result
 	err = d.withPlan(ctx, obs.TraceFrom(ctx), eng, cold, func(view *core.View, c *core.Compiled) (err error) {
+		defer c.Release() // the plan is used once
 		res, err = d.execCounted(ctx, eng, view, c, stats)
 		return err
 	})

@@ -582,3 +582,49 @@ func mustExec(t *testing.T, d *DB, q *query.Query) *query.Result {
 	}
 	return res
 }
+
+// TestReleasedPlansLeaveSegmentCaches: a plan that leaves the plan cache
+// takes its aggregate and binding cache entries with it. Ten distinct
+// queries through a plan cache of two leave entries of at most two plans,
+// one per sealed segment each.
+func TestReleasedPlansLeaveSegmentCaches(t *testing.T) {
+	cat, fact := starCatalog(6, 4000)
+	d, err := Open(cat, core.Options{SegmentRows: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetPlanCacheCap(2)
+	sealed, _ := fact.SegmentCounts()
+	for i := 0; i < 10; i++ {
+		q := query.New("q").
+			Where(expr.IntEq("f_discount", int64(i))).
+			GroupByCols("c_region").
+			Agg(expr.SumOf(expr.C("f_revenue"), "rev"))
+		p, err := d.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st core.Stats
+		if _, err := p.ExecStats(context.Background(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.AggCacheMisses != sealed {
+			t.Fatalf("query %d: %d aggregate-cache misses, want one per sealed segment (%d)", i, st.AggCacheMisses, sealed)
+		}
+	}
+	cs := d.Engine(fact.Name).CacheStats()
+	if cs.AggEntries == 0 || cs.AggEntries > int64(2*sealed) {
+		t.Errorf("aggregate cache holds %d entries, want 1..%d (two plans × %d sealed segments)", cs.AggEntries, 2*sealed, sealed)
+	}
+	if cs.BindEntries == 0 || cs.BindEntries > int64(2*sealed) {
+		t.Errorf("binding cache holds %d entries, want 1..%d", cs.BindEntries, 2*sealed)
+	}
+
+	// Run compiles a plan outside the plan cache and drops it afterwards.
+	if _, err := d.Run(context.Background(), sumRevenueByRegion()); err != nil {
+		t.Fatal(err)
+	}
+	if after := d.Engine(fact.Name).CacheStats(); after.AggEntries != cs.AggEntries || after.BindEntries != cs.BindEntries {
+		t.Errorf("after Run: %d aggregate / %d binding entries, want %d / %d", after.AggEntries, after.BindEntries, cs.AggEntries, cs.BindEntries)
+	}
+}

@@ -111,7 +111,9 @@ func (p Pred) FilterSel(c storage.Column, sel []int32) ([]int32, error) {
 // scan loop. The returned function compacts sel in place and returns the
 // shortened vector.
 func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
-	// Fast paths for the most common scan shapes.
+	// Fast paths for the most common scan shapes. They compact without a
+	// data-dependent branch: every row is written at the cursor, which
+	// advances by the row's 0/1 verdict.
 	switch col := c.(type) {
 	case *storage.Int32Col:
 		if p.Kind == KInt {
@@ -120,35 +122,33 @@ func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 			case Eq:
 				w := int32(p.IVal)
 				return func(sel []int32) []int32 {
-					out := sel[:0]
+					n := 0
 					for _, r := range sel {
-						if v[r] == w {
-							out = append(out, r)
-						}
+						sel[n] = r
+						n += b2i(v[r] == w)
 					}
-					return out
+					return sel[:n]
 				}, nil
 			case Between:
 				lo, hi := int32(p.IVal), int32(p.IHi)
 				return func(sel []int32) []int32 {
-					out := sel[:0]
+					n := 0
 					for _, r := range sel {
-						if x := v[r]; x >= lo && x <= hi {
-							out = append(out, r)
-						}
+						x := v[r]
+						sel[n] = r
+						n += b2i(x >= lo) & b2i(x <= hi)
 					}
-					return out
+					return sel[:n]
 				}, nil
 			case Lt:
 				w := int32(p.IVal)
 				return func(sel []int32) []int32 {
-					out := sel[:0]
+					n := 0
 					for _, r := range sel {
-						if v[r] < w {
-							out = append(out, r)
-						}
+						sel[n] = r
+						n += b2i(v[r] < w)
 					}
-					return out
+					return sel[:n]
 				}, nil
 			}
 		}
@@ -159,35 +159,33 @@ func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 			case Eq:
 				w := p.IVal
 				return func(sel []int32) []int32 {
-					out := sel[:0]
+					n := 0
 					for _, r := range sel {
-						if v[r] == w {
-							out = append(out, r)
-						}
+						sel[n] = r
+						n += b2i(v[r] == w)
 					}
-					return out
+					return sel[:n]
 				}, nil
 			case Between:
 				lo, hi := p.IVal, p.IHi
 				return func(sel []int32) []int32 {
-					out := sel[:0]
+					n := 0
 					for _, r := range sel {
-						if x := v[r]; x >= lo && x <= hi {
-							out = append(out, r)
-						}
+						x := v[r]
+						sel[n] = r
+						n += b2i(x >= lo) & b2i(x <= hi)
 					}
-					return out
+					return sel[:n]
 				}, nil
 			case Lt:
 				w := p.IVal
 				return func(sel []int32) []int32 {
-					out := sel[:0]
+					n := 0
 					for _, r := range sel {
-						if v[r] < w {
-							out = append(out, r)
-						}
+						sel[n] = r
+						n += b2i(v[r] < w)
 					}
-					return out
+					return sel[:n]
 				}, nil
 			}
 		}
@@ -199,13 +197,12 @@ func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 			}
 			codes := col.Codes
 			return func(sel []int32) []int32 {
-				out := sel[:0]
+				n := 0
 				for _, r := range sel {
-					if mask[codes[r]] {
-						out = append(out, r)
-					}
+					sel[n] = r
+					n += b2i(mask[codes[r]])
 				}
-				return out
+				return sel[:n]
 			}, nil
 		}
 
@@ -263,6 +260,15 @@ func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 		}
 		return out
 	}, nil
+}
+
+// b2i converts a verdict to 0 or 1; the compiler lowers it to a flag move,
+// not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // rleSelFilter builds a run-cursor selection filter over precomputed

@@ -1,7 +1,9 @@
 package expr
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -299,5 +301,94 @@ func TestPredStringAndEstimatedSel(t *testing.T) {
 	}
 	if IntEq("a", 1).WithSel(0.1).EstimatedSel() != 0.1 {
 		t.Error("WithSel not honored")
+	}
+}
+
+// TestFiltererFastPathsMatchBranchyReference covers each branch-free
+// Filterer fast path — int32 and int64 Eq, Between and Lt, and the
+// dictionary mask — against a branchy filter over the raw values: random
+// values including the type's extremes, empty, all-pass and none-pass
+// predicates and ranges, and empty, full and gapped selections.
+func TestFiltererFastPathsMatchBranchyReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 500
+	extremes := []int64{math.MinInt32, -1, 0, 1, math.MaxInt32}
+	i64 := make([]int64, n)
+	i32 := make([]int32, n)
+	for r := range i64 {
+		if rng.Intn(10) == 0 {
+			i64[r] = extremes[rng.Intn(len(extremes))]
+		} else {
+			i64[r] = int64(rng.Intn(41) - 20)
+		}
+		i32[r] = int32(i64[r])
+	}
+	i64[0], i64[1] = math.MinInt64, math.MaxInt64 // int64-only extremes
+	pool := []string{"ASIA", "EUROPE", "AFRICA", "AMERICA"}
+	strs := make([]string, n)
+	for r := range strs {
+		strs[r] = pool[rng.Intn(len(pool))]
+	}
+
+	full := make([]int32, n)
+	var gapped []int32
+	for r := range full {
+		full[r] = int32(r)
+		if rng.Intn(3) != 0 {
+			gapped = append(gapped, int32(r))
+		}
+	}
+	sels := map[string][]int32{"empty": {}, "full": full, "gapped": gapped}
+
+	type intCase struct {
+		p    Pred
+		keep func(x int64) bool
+	}
+	var intCases []intCase
+	for _, v := range []int64{math.MinInt32, -5, 0, 7, 21, math.MaxInt32} {
+		intCases = append(intCases,
+			intCase{IntEq("c", v), func(x int64) bool { return x == v }},
+			intCase{IntLt("c", v), func(x int64) bool { return x < v }})
+	}
+	for _, r := range [][2]int64{{-3, 4}, {4, -3}, {0, 0}, {math.MinInt32, math.MaxInt32}, {30, 40}} {
+		lo, hi := r[0], r[1]
+		intCases = append(intCases, intCase{IntBetween("c", lo, hi), func(x int64) bool { return x >= lo && x <= hi }})
+	}
+	check := func(label string, c storage.Column, p Pred, keep func(r int32) bool) {
+		t.Helper()
+		f, err := p.Filterer(c)
+		if err != nil {
+			t.Fatalf("%s %s: %v", label, p, err)
+		}
+		for name, sel := range sels {
+			var want []int32
+			for _, r := range sel {
+				if keep(r) {
+					want = append(want, r)
+				}
+			}
+			if got := f(slices.Clone(sel)); !slices.Equal(got, want) {
+				t.Fatalf("%s %s over %s sel: kept %d rows, want %d", label, p, name, len(got), len(want))
+			}
+		}
+	}
+	for _, tc := range intCases {
+		check("int32", storage.NewInt32Col(i32), tc.p, func(r int32) bool { return tc.keep(int64(i32[r])) })
+		check("int64", storage.NewInt64Col(i64), tc.p, func(r int32) bool { return tc.keep(i64[r]) })
+	}
+	in := func(set ...string) func(s string) bool {
+		return func(s string) bool { return slices.Contains(set, s) }
+	}
+	for _, tc := range []struct {
+		p    Pred
+		keep func(s string) bool
+	}{
+		{StrEq("c", "ASIA"), in("ASIA")},
+		{StrEq("c", "OCEANIA"), in()},
+		{StrIn("c", "ASIA", "EUROPE"), in("ASIA", "EUROPE")},
+		{StrIn("c", pool...), in(pool...)},
+		{StrBetween("c", "AFRICA", "ASIA"), func(s string) bool { return s >= "AFRICA" && s <= "ASIA" }},
+	} {
+		check("dict", storage.NewDictColFrom(strs), tc.p, func(r int32) bool { return tc.keep(strs[r]) })
 	}
 }

@@ -130,11 +130,16 @@ func TestClientDisconnectReleasesPins(t *testing.T) {
 	// Small batches: many cancellation checkpoints per query.
 	srv, ts, data, _ := newSSBServer(t, 0.02, Config{}, core.Options{BatchRows: 128})
 	admitted := make(chan struct{}, 1)
+	clientDone := make(chan struct{})
 	srv.testHookAdmitted = func() {
 		select {
 		case admitted <- struct{}{}:
 		default:
 		}
+		// Hold the query until the client's request has returned: a
+		// response that is ready when the client cancels races the
+		// cancellation inside the client's transport.
+		<-clientDone
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -147,6 +152,7 @@ func TestClientDisconnectReleasesPins(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		resp, err := http.DefaultClient.Do(req)
+		close(clientDone)
 		if err == nil {
 			resp.Body.Close()
 			err = fmt.Errorf("request succeeded with status %d despite disconnect", resp.StatusCode)

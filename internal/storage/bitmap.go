@@ -23,6 +23,11 @@ func NewBitmap(n int) *Bitmap {
 // Len returns the number of bits.
 func (b *Bitmap) Len() int { return b.n }
 
+// Words returns the packed words backing the bitmap: bit i is
+// words[i>>6]>>(i&63)&1. The slice aliases the bitmap and must not be
+// modified; scan kernels read it to test bits without a branch per row.
+func (b *Bitmap) Words() []uint64 { return b.words }
+
 // Set sets bit i to 1.
 func (b *Bitmap) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 

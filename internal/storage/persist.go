@@ -265,6 +265,9 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 			if segTarget, err = readU32(br); err != nil {
 				return nil, err
 			}
+			if segTarget > MaxSegmentRows {
+				return nil, fmt.Errorf("storage: load: table %s segment target %d exceeds %d", name, segTarget, MaxSegmentRows)
+			}
 			nseg, err := readU32(br)
 			if err != nil {
 				return nil, err

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
 	"strings"
 	"testing"
@@ -184,11 +185,31 @@ func TestLoadRejectsHostileCounts(t *testing.T) {
 }
 
 // TestLoadBoundsAllocationByInput: a length field read from the image must
-// not size an allocation on its own. Each input declares a huge
-// dictionary count and then ends; each must fail with an error after
-// allocating a bounded amount, not gigabytes.
+// not size an allocation on its own. The first inputs declare a huge
+// dictionary count and then end; the last two are well-formed v2 and v3
+// images of one one-row column whose segment target is forged to 2^31-1,
+// which would preallocate a tail of that many rows. Each must fail with an
+// error after allocating a bounded amount, not gigabytes.
 func TestLoadBoundsAllocationByInput(t *testing.T) {
-	for _, in := range []string{"ASTORDB10001", "ASTORDB1\x00\x00\x00\x01", "ASTORDB3\xff\xff\xff\x7f"} {
+	inputs := []string{"ASTORDB10001", "ASTORDB1\x00\x00\x00\x01", "ASTORDB3\xff\xff\xff\x7f"}
+	const forged = 1<<31 - 1
+	inputs = append(inputs, string(writeLegacyImage(t, oneRowDB(t, 0), persistMagicV2,
+		map[string]legacyManifest{"t": {target: forged}})))
+
+	var buf bytes.Buffer
+	if err := oneRowDB(t, 4).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v3 := buf.Bytes()
+	// magic, dictionary count, table count, table name "t", row count.
+	at := len(persistMagic) + 4 + 4 + 4 + len("t") + 4
+	if got := binary.LittleEndian.Uint32(v3[at:]); got != 4 {
+		t.Fatalf("segment target at offset %d reads %d, want 4", at, got)
+	}
+	binary.LittleEndian.PutUint32(v3[at:], forged)
+	inputs = append(inputs, string(v3))
+
+	for _, in := range inputs {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -201,4 +222,22 @@ func TestLoadBoundsAllocationByInput(t *testing.T) {
 			t.Errorf("%q: allocated %d MB before failing, want < 16 MB", in, alloc>>20)
 		}
 	}
+}
+
+// oneRowDB is a database of one table "t" with one int64 column and one
+// row, segmented at target when target > 0.
+func oneRowDB(t *testing.T, target int) *Database {
+	t.Helper()
+	tab := NewTable("t")
+	tab.MustAddColumn("x", NewInt64Col([]int64{7}))
+	if target > 0 {
+		if err := tab.SetSegmentTarget(target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := NewDatabase()
+	if err := db.Add(tab); err != nil {
+		t.Fatal(err)
+	}
+	return db
 }

@@ -32,6 +32,11 @@ import "fmt"
 // segment fact tables without an explicit target (db.Open, astore-serve).
 const DefaultSegmentRows = 1 << 17
 
+// MaxSegmentRows caps a table's segment target. The mutable tail is
+// preallocated at the target for every column, so the cap bounds what one
+// table's tail can reserve; it is far above any useful sealing threshold.
+const MaxSegmentRows = 1 << 24
+
 // Zone is a min/max summary of one column chunk within a segment. Numeric
 // columns summarize values; dictionary columns summarize codes (the code is
 // itself an AIR into the dictionary, so equality predicates translate to
@@ -288,8 +293,8 @@ func (t *Table) SegmentCounts() (sealed, total int) {
 // snapshots pin the table. Re-targeting an already segmented table rebuilds
 // its segments at the new threshold.
 func (t *Table) SetSegmentTarget(target int) error {
-	if target < 1 {
-		return fmt.Errorf("storage: table %s: segment target %d < 1", t.Name, target)
+	if target < 1 || target > MaxSegmentRows {
+		return fmt.Errorf("storage: table %s: segment target %d outside [1, %d]", t.Name, target, MaxSegmentRows)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -109,6 +109,10 @@ type (
 // used by serving layers that segment without an explicit target.
 const DefaultSegmentRows = storage.DefaultSegmentRows
 
+// MaxSegmentRows is the largest segment target a table, Options.SegmentRows
+// or a loaded image may set.
+const MaxSegmentRows = storage.MaxSegmentRows
+
 // Query model.
 type (
 	// Query is a SPJGA query over the universal table.

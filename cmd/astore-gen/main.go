@@ -28,7 +28,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generation seed")
 		save     = flag.String("save", "", "write the generated database image to this file")
 		load     = flag.String("load", "", "load a database image instead of generating")
-		segRows  = flag.Int("segment-rows", 0, "segment fact tables at this row target before saving (0 = flat)")
+		segRows  = flag.Int("segment-rows", 0, "segment fact tables at this row target before saving (0 = flat, at most 16Mi)")
 		sortKeys = flag.String("sort-keys", "", "comma-separated fact columns to cluster by at consolidation (requires -segment-rows)")
 		encode   = flag.Bool("encode-sealed", false, "compress sealed-segment chunks (RLE/FoR) before saving (requires -segment-rows)")
 	)

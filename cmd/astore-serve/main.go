@@ -54,7 +54,7 @@ func main() {
 		batchRows = flag.Int("batch-rows", 0, "rows per scan batch (cancellation granularity; 0 = default 64K)")
 		cacheCap  = flag.Int("cache-cap", db.DefaultPlanCacheCap, "plan cache capacity")
 		segRows   = flag.Int("segment-rows", storage.DefaultSegmentRows,
-			"rows per fact-table segment (sealed segments + mutable tail: zone-map pruning, append-stable plans; 0 = flat)")
+			"rows per fact-table segment (sealed segments + mutable tail: zone-map pruning, append-stable plans; 0 = flat, at most 16Mi)")
 		sortKeys = flag.String("sort-keys", "",
 			"comma-separated fact columns to cluster by at consolidation (keys a table lacks are ignored)")
 		encode = flag.Bool("encode-sealed", false,

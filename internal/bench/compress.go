@@ -52,10 +52,7 @@ func runCompress(cfg Config) ([]*Report, error) {
 		data := ssbData(cfg)
 		fact := data.Lineorder
 		n := fact.NumRows()
-		segRows := n / 16
-		if segRows < 256 {
-			segRows = 256
-		}
+		segRows := min(max(n/16, 256), storage.MaxSegmentRows)
 		if err := fact.SetSegmentTarget(segRows); err != nil {
 			return nil, err
 		}

@@ -116,13 +116,9 @@ func ingestSetup(cfg Config, segmentRows int, q *query.Query) ([]string, error) 
 }
 
 // segTargetFor picks a segment target that yields a meaningful number of
-// segments at the experiment's scale factor.
+// segments at the experiment's scale factor, within the storage cap.
 func segTargetFor(rows int) int {
-	target := rows / 32
-	if target < 4096 {
-		target = 4096
-	}
-	return target
+	return min(max(rows/32, 4096), storage.MaxSegmentRows)
 }
 
 func runIngest(cfg Config) ([]*Report, error) {

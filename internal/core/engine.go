@@ -118,6 +118,7 @@ func (e *Engine) RunContext(ctx context.Context, q *query.Query, stats *Stats) (
 	if err != nil {
 		return nil, err
 	}
+	defer pl.release() // the plan is used once
 	return e.exec(ctx, pl, nil, stats)
 }
 
@@ -290,10 +291,12 @@ func (v *View) Compile(q *query.Query) (*Compiled, error) {
 // predicate and group vectors reachable. Executions of the plan still in
 // flight stay correct; entries they install afterwards are bounded by the
 // caches' LRU like any other.
-func (c *Compiled) Release() {
-	e := c.pl.eng
-	e.aggCache.dropPlan(c.pl.id)
-	e.bindCache.dropPlan(c.pl.id)
+func (c *Compiled) Release() { c.pl.release() }
+
+// release drops the plan's aggregate and binding cache entries.
+func (pl *plan) release() {
+	pl.eng.aggCache.dropPlan(pl.id)
+	pl.eng.bindCache.dropPlan(pl.id)
 }
 
 // Versions returns the per-table versions the plan was compiled at.

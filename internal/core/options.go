@@ -105,7 +105,8 @@ type Options struct {
 	// at this sealing threshold (storage.SetSegmentTarget): appends go to
 	// a mutable tail, snapshots become segment-list copies, per-segment
 	// zone maps prune scans, and live appends stop evicting cached plans.
-	// Zero leaves tables flat. The engine itself executes either layout.
+	// Zero leaves tables flat; a value above storage.MaxSegmentRows (16Mi)
+	// is rejected. The engine itself executes either layout.
 	SegmentRows int
 	// SortKeys, when non-empty, makes db.Open configure every segmented
 	// fact table to re-sort surviving rows by these columns (integer or

@@ -123,6 +123,30 @@ func TestColdScanAllocsPerSegment(t *testing.T) {
 	}
 }
 
+// TestRunReleasesCacheEntries: Engine.Run compiles a one-shot plan, so the
+// aggregate and binding cache entries it installs (keyed by that plan
+// instance, which no later run looks up) are dropped when the run ends.
+func TestRunReleasesCacheEntries(t *testing.T) {
+	eng, err := New(coldScanRoot(t, 4), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := eng.Run(coldScanQuery()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := eng.CacheStats()
+	if cs.AggMisses != 20 || cs.BindMisses != 20 {
+		t.Fatalf("%d aggregate and %d binding misses, want 20 each: the runs did not go through the caches",
+			cs.AggMisses, cs.BindMisses)
+	}
+	if cs.AggEntries != 0 || cs.BindEntries != 0 || cs.AggBytes != 0 || cs.BindBytes != 0 {
+		t.Fatalf("after 5 runs: %d aggregate entries (%d B), %d binding entries (%d B); want none",
+			cs.AggEntries, cs.AggBytes, cs.BindEntries, cs.BindBytes)
+	}
+}
+
 // BenchmarkColdSegmentScan measures the cold path of the aggregate cache:
 // every iteration compiles a fresh plan, so all 8 sealed segments are
 // cache misses that are bound, scanned and installed.

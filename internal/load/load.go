@@ -78,7 +78,8 @@ type Loader struct {
 	// declares at least one FK column (a fact-like table) to segmented
 	// storage with this sealing threshold: subsequent appends go to the
 	// mutable tail and scans prune on per-segment zone maps. Dimension
-	// tables (no FK columns) stay flat, as AIR chain lookups require.
+	// tables (no FK columns) stay flat, as AIR chain lookups require. A
+	// value above storage.MaxSegmentRows (16Mi) is rejected.
 	SegmentRows int
 }
 
